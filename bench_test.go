@@ -6,6 +6,7 @@ package rsepsim
 // Micro-benchmarks for the hot components follow.
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
@@ -159,6 +160,58 @@ func BenchmarkPipelineWarmWorker(b *testing.B) {
 		core.Run(insts)
 	}
 	b.ReportMetric(float64(insts), "insts/op")
+}
+
+// checkpointState returns an rsep-realistic core on mcf after 10k warmup and
+// 30k measured instructions — a mid-job state of the kind a sliced job
+// checkpoints at every boundary — with the config and a source factory.
+func checkpointState() (*config.Config, func() *workload.Gen, *pipeline.Core) {
+	cfg := config.TableI().WithRSEP(rsep.Realistic())
+	src := func() *workload.Gen { return workload.New(workload.MustByName("mcf"), 42) }
+	core := pipeline.New(cfg, src())
+	core.Run(10_000)
+	core.ResetStats()
+	core.Run(30_000)
+	return cfg, src, core
+}
+
+// BenchmarkCheckpoint measures Core.Checkpoint into a reused buffer, the way
+// the sliced runner writes one per slice; ckpt_bytes/op is the blob size.
+func BenchmarkCheckpoint(b *testing.B) {
+	_, _, core := checkpointState()
+	var buf bytes.Buffer
+	if err := core.Checkpoint(&buf); err != nil { // grow buf to the blob's size once
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := core.Checkpoint(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "ckpt_bytes/op")
+}
+
+// BenchmarkRestore measures Core.Restore of that blob into a warm core of the
+// same geometry (the pooled-worker path), including the checksum pass and
+// the re-derivation of the trace window from a fresh source.
+func BenchmarkRestore(b *testing.B) {
+	cfg, src, core := checkpointState()
+	var buf bytes.Buffer
+	if err := core.Checkpoint(&buf); err != nil {
+		b.Fatal(err)
+	}
+	blob := buf.Bytes()
+	warm := pipeline.New(cfg, src())
+	warm.Run(5_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := warm.Restore(cfg, src(), blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(blob)), "ckpt_bytes/op")
 }
 
 // BenchmarkWorkloadGen measures trace generation throughput alone.

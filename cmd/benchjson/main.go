@@ -12,7 +12,8 @@
 // The recorded commit defaults to `git rev-parse HEAD`, so a locally
 // regenerated file carries correct provenance without remembering -commit.
 //
-// With -gate it additionally compares allocs/op and B/op against a committed
+// With -gate it additionally compares allocs/op and B/op (and, for the
+// checkpoint benchmarks, the ckpt_bytes/op blob size) against a committed
 // baseline report and exits non-zero on a regression beyond -gate-tolerance
 // (default 5%); time is not gated by default because shared runners make it
 // too noisy, but -gate-time adds a deliberately generous ns/op gate (default
@@ -40,11 +41,12 @@ import (
 type result struct {
 	Name        string  `json:"name"`
 	Runs        int     `json:"runs"`
-	NsPerOp     float64 `json:"ns_per_op"`               // median over runs
-	InstsPerOp  float64 `json:"insts_per_op,omitempty"`  // simulated instructions per iteration
-	InstsPerSec float64 `json:"insts_per_sec,omitempty"` // derived throughput
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"` // present with -benchmem
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`  // present with -benchmem
+	NsPerOp     float64 `json:"ns_per_op"`                   // median over runs
+	InstsPerOp  float64 `json:"insts_per_op,omitempty"`      // simulated instructions per iteration
+	InstsPerSec float64 `json:"insts_per_sec,omitempty"`     // derived throughput
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`     // present with -benchmem
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`      // present with -benchmem
+	CkptBytes   float64 `json:"ckpt_bytes_per_op,omitempty"` // checkpoint blob size, checkpoint benchmarks only
 }
 
 type report struct {
@@ -95,7 +97,7 @@ func checkAncestry(baseCommit string) error {
 
 // gate compares the fresh results against a committed baseline report and
 // returns the list of violations: any benchmark present in both whose
-// allocs/op or B/op grew by more than tol. Allocation counts are
+// allocs/op, B/op or checkpoint size grew by more than tol. Allocation counts are
 // deterministic, so they gate hard; ns/op gates only when timeTol > 0 —
 // generously, to catch order-of-magnitude regressions without tripping on
 // shared-runner noise.
@@ -129,6 +131,7 @@ func gate(fresh []result, baselinePath string, tol, timeTol float64) ([]string, 
 		}
 		check("allocs/op", b.AllocsPerOp, r.AllocsPerOp, tol)
 		check("B/op", b.BytesPerOp, r.BytesPerOp, tol)
+		check("ckpt_bytes/op", b.CkptBytes, r.CkptBytes, tol)
 		if timeTol > 0 {
 			check("ns/op", b.NsPerOp, r.NsPerOp, timeTol)
 		}
@@ -151,7 +154,7 @@ func main() {
 	// benchjson runs with the same toolchain that ran the benchmarks.
 	rep := report{Commit: *commit, GoVersion: runtime.Version()}
 	type agg struct {
-		ns, insts, allocs, bytes []float64
+		ns, insts, allocs, bytes, ckpt []float64
 	}
 	byName := map[string]*agg{}
 	var order []string
@@ -192,6 +195,8 @@ func main() {
 				a.allocs = append(a.allocs, v)
 			case "B/op":
 				a.bytes = append(a.bytes, v)
+			case "ckpt_bytes/op":
+				a.ckpt = append(a.ckpt, v)
 			}
 		}
 	}
@@ -217,6 +222,9 @@ func main() {
 		}
 		if len(a.bytes) > 0 {
 			r.BytesPerOp = median(a.bytes)
+		}
+		if len(a.ckpt) > 0 {
+			r.CkptBytes = median(a.ckpt)
 		}
 		rep.Benchmarks = append(rep.Benchmarks, r)
 	}

@@ -1,6 +1,6 @@
 // Package ckpt implements the binary checkpoint container used to serialize
 // simulator state: a small magic/version/architecture header, a stream of
-// primitive values and raw POD-slice sections, and a trailing CRC-64 over
+// primitive values and POD-slice sections, and a trailing CRC-64 over
 // everything in between.
 //
 // The format is deliberately *not* an interchange format. Slices of plain-old
@@ -8,24 +8,32 @@
 // native word size, native field padding), so a checkpoint is only guaranteed
 // to restore under a binary built for the same architecture — the header's
 // architecture probe refuses anything else. What the format buys in exchange
-// is that saving or restoring a multi-megabyte predictor table is one
-// contiguous copy instead of a per-field walk.
+// is that saving or restoring a multi-megabyte predictor table is one linear
+// pass over its bytes instead of a per-field walk.
+//
+// Slice sections are stored sparsely (format version 4): the raw bytes are cut
+// into groups of 64 eight-byte words, and each group is written as a uint64
+// occupancy mask followed by its nonzero words only; the len%8 tail bytes stay
+// literal. Simulator tables are mostly zero — cold cache sets, untrained
+// predictor entries — so this shrinks a checkpoint several-fold, and the mask
+// needs no threshold to cope with isolated nonzero words.
 //
 // Both Writer and Reader latch the first error: after a failure every
 // subsequent call is a cheap no-op (reads return zero values), so component
 // save/load code can stay free of error plumbing and the caller checks
-// Err/Close once at the end. Reader.Close verifies the checksum, turning any
-// torn or bit-flipped checkpoint into an error instead of corrupt state.
+// Err/Close once at the end. NewReader verifies the checksum over the whole
+// blob before handing out a Reader, so a torn or bit-flipped checkpoint is an
+// error before any state is decoded, never corrupt state.
 package ckpt
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc64"
 	"io"
 	"math"
+	"math/bits"
 	"reflect"
 	"sync"
 	"unsafe"
@@ -39,12 +47,26 @@ import (
 // Version history: 2 — metrics.Stats gained SkippedCycles and the pipeline's
 // dyn/hotState records moved renameReady between them. 3 — the RSEP FIFO
 // history ring shrank to 8-byte entries (implied CSNs, delta chain links)
-// and stopped serializing its derivable bucket heads.
-const FormatVersion uint32 = 3
+// and stopped serializing its derivable bucket heads. 4 — slice sections are
+// masked-sparse (64-word groups: occupancy mask, then the nonzero words).
+const FormatVersion uint32 = 4
 
 const magic = "RSEPCKPT"
 
-// archProbe is written raw (native byte order, 8 bytes) and compared raw: a
+// headerLen is the byte length of the header NewWriter emits: magic,
+// version, architecture probe, word probe.
+const headerLen = len(magic) + 4 + 8 + 8
+
+// trailerLen is the byte length of the CRC-64 trailer.
+const trailerLen = 8
+
+// groupWords is the number of 8-byte words one occupancy mask covers.
+const groupWords = 64
+
+// bufSize is the Writer's staging buffer; the CRC is updated once per flush.
+const bufSize = 1 << 16
+
+// archProbe is written in native byte order and compared the same way: a
 // checkpoint read on a machine with different endianness or word conventions
 // fails here instead of deserializing garbage.
 const archProbe uint64 = 0x0102_0304_0506_0708
@@ -55,29 +77,36 @@ const wordProbe = uint64(unsafe.Sizeof(int(0)))
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// ErrChecksum is returned (wrapped) by Reader.Close when the trailing CRC
-// does not match the bytes read.
+// ErrChecksum is returned by NewReader when the trailing CRC does not match
+// the bytes before it.
 var ErrChecksum = errors.New("ckpt: checksum mismatch")
 
-// maxSliceElems bounds any single serialized slice, so a corrupt length field
-// fails cleanly instead of attempting a giant allocation.
+// errTruncated is latched when a read runs past the end of the payload.
+var errTruncated = errors.New("ckpt: truncated checkpoint")
+
+// maxSliceElems caps any single slice's element count. It keeps sliceLen's
+// size arithmetic from overflowing; the bound that stops a corrupt length
+// from allocating is the remaining-bytes check there.
 const maxSliceElems = 1 << 31
 
-// Writer serializes a checkpoint stream.
+// Writer serializes a checkpoint stream. Bytes are staged in a 64 KB buffer;
+// the CRC is computed over each buffer-full as it is handed to the
+// underlying writer.
 type Writer struct {
-	bw  *bufio.Writer
+	w   io.Writer
+	buf []byte
 	crc uint64
 	err error
 }
 
 // NewWriter starts a checkpoint stream on w, emitting the header.
 func NewWriter(w io.Writer) *Writer {
-	cw := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
+	cw := &Writer{w: w, buf: make([]byte, 0, bufSize)}
 	cw.writeRaw([]byte(magic))
 	cw.U32(FormatVersion)
-	var probe [8]byte
-	*(*uint64)(unsafe.Pointer(&probe[0])) = archProbe
-	cw.writeRaw(probe[:])
+	if cw.room(8) {
+		cw.buf = binary.NativeEndian.AppendUint64(cw.buf, archProbe)
+	}
 	cw.U64(wordProbe)
 	return cw
 }
@@ -91,29 +120,47 @@ func (w *Writer) fail(err error) {
 	}
 }
 
-func (w *Writer) writeRaw(b []byte) {
-	if w.err != nil {
+// flush checksums the staged bytes and hands them to the underlying writer.
+func (w *Writer) flush() {
+	if w.err != nil || len(w.buf) == 0 {
 		return
 	}
-	if _, err := w.bw.Write(b); err != nil {
+	w.crc = crc64.Update(w.crc, crcTable, w.buf)
+	if _, err := w.w.Write(w.buf); err != nil {
 		w.fail(err)
-		return
 	}
-	w.crc = crc64.Update(w.crc, crcTable, b)
+	w.buf = w.buf[:0]
+}
+
+// room makes space for n more staged bytes (n ≤ bufSize), reporting false
+// once the Writer has failed.
+func (w *Writer) room(n int) bool {
+	if cap(w.buf)-len(w.buf) < n {
+		w.flush()
+	}
+	return w.err == nil
+}
+
+func (w *Writer) writeRaw(b []byte) {
+	for len(b) > 0 && w.room(1) {
+		n := copy(w.buf[len(w.buf):cap(w.buf)], b)
+		w.buf = w.buf[:len(w.buf)+n]
+		b = b[n:]
+	}
 }
 
 // U64 writes a fixed-width unsigned value.
 func (w *Writer) U64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.writeRaw(b[:])
+	if w.room(8) {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	}
 }
 
 // U32 writes a fixed-width unsigned value.
 func (w *Writer) U32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.writeRaw(b[:])
+	if w.room(4) {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+	}
 }
 
 // I64 writes a signed value.
@@ -124,11 +171,13 @@ func (w *Writer) Int(v int) { w.U64(uint64(int64(v))) }
 
 // Bool writes a boolean.
 func (w *Writer) Bool(v bool) {
-	var b [1]byte
-	if v {
-		b[0] = 1
+	if w.room(1) {
+		var b byte
+		if v {
+			b = 1
+		}
+		w.buf = append(w.buf, b)
 	}
-	w.writeRaw(b[:])
 }
 
 // F64 writes a float64 bit pattern.
@@ -144,52 +193,80 @@ func (w *Writer) Str(s string) {
 // skew at the section boundary instead of at the final checksum.
 func (w *Writer) Mark(tag string) { w.Str(tag) }
 
+// zeroGroup is compared against whole groups: most groups of a simulator
+// table are entirely zero, and a vectorized compare skips them fastest.
+var zeroGroup [8 * groupWords]byte
+
+// sparse writes b as masked groups of 64 words plus a literal tail.
+func (w *Writer) sparse(b []byte) {
+	words := len(b) / 8
+	for g := 0; g < words; g += groupWords {
+		grp := b[8*g : 8*min(g+groupWords, words)]
+		if !w.room(8 + len(grp)) {
+			return
+		}
+		at := len(w.buf)
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, 0) // mask, patched below
+		if string(grp) == string(zeroGroup[:len(grp)]) {
+			continue
+		}
+		var mask uint64
+		for i, p := 0, grp; len(p) >= 8; i, p = i+1, p[8:] {
+			if v := binary.LittleEndian.Uint64(p); v != 0 {
+				mask |= 1 << i
+				w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+			}
+		}
+		binary.LittleEndian.PutUint64(w.buf[at:], mask)
+	}
+	w.writeRaw(b[8*words:])
+}
+
 // Close writes the CRC trailer and flushes. The Writer is unusable after.
 func (w *Writer) Close() error {
+	w.flush()
 	if w.err != nil {
 		return w.err
 	}
-	var b [8]byte
+	var b [trailerLen]byte
 	binary.LittleEndian.PutUint64(b[:], w.crc)
-	if _, err := w.bw.Write(b[:]); err != nil {
-		w.fail(err)
-		return w.err
-	}
-	if err := w.bw.Flush(); err != nil {
+	if _, err := w.w.Write(b[:]); err != nil {
 		w.fail(err)
 	}
 	return w.err
 }
 
-// Reader deserializes a checkpoint stream.
+// Reader deserializes a checkpoint held in memory. It never writes to the
+// blob, and nothing it returns aliases it.
 type Reader struct {
-	br  *bufio.Reader
-	crc uint64
+	b   []byte // unread payload, trailer excluded
 	err error
 }
 
-// NewReader opens a checkpoint stream, validating the header. A version or
-// architecture mismatch is an immediate error.
-func NewReader(r io.Reader) (*Reader, error) {
-	cr := &Reader{br: bufio.NewReaderSize(r, 1<<16)}
-	head := make([]byte, len(magic))
-	cr.readRaw(head)
-	if cr.err == nil && string(head) != magic {
+// NewReader opens a checkpoint blob, validating the header and then the CRC
+// trailer over the whole blob: a version or architecture mismatch, a
+// truncation or any flipped bit is an error before a single value is
+// decoded.
+func NewReader(blob []byte) (*Reader, error) {
+	if len(blob) < headerLen+trailerLen {
+		return nil, fmt.Errorf("%w: %d bytes", errTruncated, len(blob))
+	}
+	if head := blob[:len(magic)]; string(head) != magic {
 		return nil, fmt.Errorf("ckpt: bad magic %q", head)
 	}
-	if v := cr.U32(); cr.err == nil && v != FormatVersion {
+	cr := &Reader{b: blob[len(magic) : len(blob)-trailerLen]}
+	if v := cr.U32(); v != FormatVersion {
 		return nil, fmt.Errorf("ckpt: format version %d, want %d", v, FormatVersion)
 	}
-	var probe [8]byte
-	cr.readRaw(probe[:])
-	if cr.err == nil && *(*uint64)(unsafe.Pointer(&probe[0])) != archProbe {
+	if binary.NativeEndian.Uint64(cr.take(8)) != archProbe {
 		return nil, errors.New("ckpt: checkpoint written on an incompatible architecture")
 	}
-	if wp := cr.U64(); cr.err == nil && wp != wordProbe {
+	if cr.U64() != wordProbe {
 		return nil, errors.New("ckpt: checkpoint written with an incompatible word size")
 	}
-	if cr.err != nil {
-		return nil, cr.err
+	body := blob[:len(blob)-trailerLen]
+	if crc64.Checksum(body, crcTable) != binary.LittleEndian.Uint64(blob[len(body):]) {
+		return nil, ErrChecksum
 	}
 	return cr, nil
 }
@@ -203,35 +280,43 @@ func (r *Reader) fail(err error) {
 	}
 }
 
-func (r *Reader) readRaw(b []byte) {
+// take consumes the next n payload bytes. It returns nil once the Reader has
+// failed, or fails it when fewer than n bytes remain.
+func (r *Reader) take(n int) []byte {
 	if r.err != nil {
-		for i := range b {
-			b[i] = 0
-		}
-		return
+		return nil
 	}
-	if _, err := io.ReadFull(r.br, b); err != nil {
-		r.fail(fmt.Errorf("ckpt: truncated checkpoint: %w", err))
-		for i := range b {
-			b[i] = 0
-		}
-		return
+	if n > len(r.b) {
+		r.fail(errTruncated)
+		return nil
 	}
-	r.crc = crc64.Update(r.crc, crcTable, b)
+	p := r.b[:n:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *Reader) readRaw(b []byte) {
+	if p := r.take(len(b)); p != nil {
+		copy(b, p)
+	} else {
+		clear(b)
+	}
 }
 
 // U64 reads a fixed-width unsigned value.
 func (r *Reader) U64() uint64 {
-	var b [8]byte
-	r.readRaw(b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	if p := r.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
 }
 
 // U32 reads a fixed-width unsigned value.
 func (r *Reader) U32() uint32 {
-	var b [4]byte
-	r.readRaw(b[:])
-	return binary.LittleEndian.Uint32(b[:])
+	if p := r.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
 }
 
 // I64 reads a signed value.
@@ -242,46 +327,93 @@ func (r *Reader) Int() int { return int(int64(r.U64())) }
 
 // Bool reads a boolean.
 func (r *Reader) Bool() bool {
-	var b [1]byte
-	r.readRaw(b[:])
-	return b[0] != 0
+	p := r.take(1)
+	return p != nil && p[0] != 0
 }
 
 // F64 reads a float64 bit pattern.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Str reads a length-prefixed string.
-func (r *Reader) Str() string {
+// strBytes reads a length-prefixed string as a view of the blob.
+func (r *Reader) strBytes() []byte {
 	n := r.U64()
-	if n > maxSliceElems {
-		r.fail(fmt.Errorf("ckpt: implausible string length %d", n))
-		return ""
+	if r.err == nil && n > uint64(len(r.b)) {
+		r.fail(fmt.Errorf("ckpt: string length %d exceeds the %d bytes left", n, len(r.b)))
 	}
-	b := make([]byte, n)
-	r.readRaw(b)
-	return string(b)
+	return r.take(int(n))
 }
+
+// Str reads a length-prefixed string.
+func (r *Reader) Str() string { return string(r.strBytes()) }
 
 // Expect consumes a section tag and fails unless it matches.
 func (r *Reader) Expect(tag string) {
-	if got := r.Str(); r.err == nil && got != tag {
+	if got := r.strBytes(); r.err == nil && string(got) != tag {
 		r.fail(fmt.Errorf("ckpt: section %q, want %q", got, tag))
 	}
 }
 
-// Close consumes the CRC trailer and verifies it. It must be called after the
-// last value has been read; leftover payload surfaces as a CRC mismatch.
-func (r *Reader) Close() error {
+// sliceLen reads a slice's element count and checks that a section of that
+// many elemSize-byte elements could still fit in the unread payload: every
+// 64-word group costs at least its mask, and the tail is literal. A corrupt
+// length thus fails here, before anything is allocated for it.
+func (r *Reader) sliceLen(elemSize uintptr) (int, bool) {
+	n := r.U64()
 	if r.err != nil {
-		return r.err
+		return 0, false
 	}
-	var b [8]byte
-	if _, err := io.ReadFull(r.br, b[:]); err != nil {
-		r.fail(fmt.Errorf("ckpt: truncated checkpoint: %w", err))
-		return r.err
+	if n > maxSliceElems {
+		r.fail(fmt.Errorf("ckpt: implausible slice length %d", n))
+		return 0, false
 	}
-	if binary.LittleEndian.Uint64(b[:]) != r.crc {
-		r.fail(ErrChecksum)
+	size := n * uint64(elemSize)
+	words := size / 8
+	minEnc := 8*((words+groupWords-1)/groupWords) + size%8
+	if minEnc > uint64(len(r.b)) {
+		r.fail(fmt.Errorf("ckpt: slice of %d elements needs at least %d bytes, %d left", n, minEnc, len(r.b)))
+		return 0, false
+	}
+	return int(n), true
+}
+
+// sparse decodes a section written by Writer.sparse into dst, whose length
+// the caller has already settled: present words are scattered in place and
+// the rest cleared. On failure dst is left zeroed.
+func (r *Reader) sparse(dst []byte) {
+	words := len(dst) / 8
+	for g := 0; g < words && r.err == nil; g += groupWords {
+		grp := dst[8*g : 8*min(g+groupWords, words)]
+		mask := r.U64()
+		if n := len(grp) / 8; n < groupWords && mask>>n != 0 {
+			r.fail(fmt.Errorf("ckpt: occupancy mask %#x has bits past a %d-word group", mask, n))
+			break
+		}
+		src := r.take(8 * bits.OnesCount64(mask))
+		if src == nil {
+			break
+		}
+		if mask == ^uint64(0) {
+			copy(grp, src)
+			continue
+		}
+		clear(grp)
+		for m := mask; m != 0; m &= m - 1 {
+			i := 8 * bits.TrailingZeros64(m)
+			binary.LittleEndian.PutUint64(grp[i:], binary.LittleEndian.Uint64(src))
+			src = src[8:]
+		}
+	}
+	r.readRaw(dst[8*words:])
+	if r.err != nil {
+		clear(dst)
+	}
+}
+
+// Close reports the first decoding error, or an error if payload bytes were
+// left unread — a writer/reader drift that consumed too little.
+func (r *Reader) Close() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.fail(fmt.Errorf("ckpt: %d unread payload bytes", len(r.b)))
 	}
 	return r.err
 }
@@ -293,8 +425,7 @@ var podCache sync.Map // reflect.Type -> bool
 // reference kinds — raw-dumping such a type would serialize addresses. The
 // check runs once per type.
 func assertPOD[T any]() {
-	var zero T
-	t := reflect.TypeOf(zero)
+	t := reflect.TypeOf((*T)(nil)).Elem() // reflect.TypeFor boxes a T: large arrays would allocate
 	if ok, seen := podCache.Load(t); seen {
 		if !ok.(bool) {
 			panic(fmt.Sprintf("ckpt: type %v is not plain old data", t))
@@ -337,28 +468,28 @@ func rawBytes[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(zero)))
 }
 
-// Slice writes a length-prefixed raw dump of a POD slice.
+// Slice writes a length-prefixed, masked-sparse dump of a POD slice.
 func Slice[T any](w *Writer, s []T) {
 	assertPOD[T]()
 	w.U64(uint64(len(s)))
-	w.writeRaw(rawBytes(s))
+	w.sparse(rawBytes(s))
 }
 
 // ReadSlice reads a slice written by Slice, reusing s's backing array when it
 // is large enough. It returns the restored slice.
 func ReadSlice[T any](r *Reader, s []T) []T {
 	assertPOD[T]()
-	n := r.U64()
-	if n > maxSliceElems {
-		r.fail(fmt.Errorf("ckpt: implausible slice length %d", n))
+	var zero T
+	n, ok := r.sliceLen(unsafe.Sizeof(zero))
+	if !ok {
 		return s[:0]
 	}
-	if uint64(cap(s)) >= n {
+	if cap(s) >= n {
 		s = s[:n]
 	} else {
 		s = make([]T, n)
 	}
-	r.readRaw(rawBytes(s))
+	r.sparse(rawBytes(s))
 	return s
 }
 
@@ -367,11 +498,13 @@ func ReadSlice[T any](r *Reader, s []T) []T {
 // whose length is fixed by the configuration.
 func ReadSliceFixed[T any](r *Reader, s []T) {
 	assertPOD[T]()
-	if n := r.U64(); n != uint64(len(s)) {
+	if n := r.U64(); r.err == nil && n != uint64(len(s)) {
 		r.fail(fmt.Errorf("ckpt: slice length %d, want %d (geometry mismatch)", n, len(s)))
+	}
+	if r.err != nil {
 		return
 	}
-	r.readRaw(rawBytes(s))
+	r.sparse(rawBytes(s))
 }
 
 // Struct writes one POD struct raw.

@@ -131,17 +131,19 @@ func (c *Core) Checkpoint(w io.Writer) error {
 	return cw.Close()
 }
 
-// Restore rewinds the core to a checkpointed state, reusing every table and
-// arena already allocated. Like ResetFor it refuses (with an error) unless
-// cfg describes the same machine geometry and seed the checkpoint was taken
-// under; src must be a fresh instance of the same instruction source the
-// checkpointed run consumed, positioned at its first instruction — the trace
-// window is re-derived from it rather than stored.
-func (c *Core) Restore(cfg *config.Config, src trace.Source, r io.Reader) error {
+// Restore rewinds the core to the checkpoint blob's state, reusing every
+// table and arena already allocated. Like ResetFor it refuses (with an error)
+// unless cfg describes the same machine geometry and seed the checkpoint was
+// taken under; src must be a fresh instance of the same instruction source
+// the checkpointed run consumed, positioned at its first instruction — the
+// trace window is re-derived from it rather than stored. The blob's header
+// and checksum are verified before anything is decoded, so a refused or
+// damaged blob leaves the core untouched.
+func (c *Core) Restore(cfg *config.Config, src trace.Source, blob []byte) error {
 	if c.cfgKey == "" {
 		c.cfgKey = c.cfg.SeedlessHash()
 	}
-	cr, err := ckpt.NewReader(r)
+	cr, err := ckpt.NewReader(blob)
 	if err != nil {
 		return err
 	}
@@ -269,8 +271,13 @@ func (c *Core) Restore(cfg *config.Config, src trace.Source, r io.Reader) error 
 // must be a fresh instance of the instruction source the checkpointed run
 // consumed.
 func NewFromCheckpoint(cfg *config.Config, src trace.Source, r io.Reader) (*Core, error) {
+	// Restore needs the whole blob to verify it before decoding.
+	blob, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: reading checkpoint: %w", err)
+	}
 	c := New(cfg, src)
-	if err := c.Restore(cfg, src, r); err != nil {
+	if err := c.Restore(cfg, src, blob); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -65,7 +65,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			// path) must behave identically to NewFromCheckpoint.
 			warm := New(tc.cfg, src())
 			warm.Run(5_000)
-			if err := warm.Restore(tc.cfg, src(), bytes.NewReader(blob.Bytes())); err != nil {
+			if err := warm.Restore(tc.cfg, src(), blob.Bytes()); err != nil {
 				t.Fatal(err)
 			}
 			warm.Run(measure - warm.Stats().Committed)
@@ -93,14 +93,14 @@ func TestCheckpointRefusals(t *testing.T) {
 	bigger := config.TableI()
 	bigger.ROBSize *= 2
 	other := New(bigger, fresh())
-	if err := other.Restore(bigger, fresh(), bytes.NewReader(blob.Bytes())); err == nil {
+	if err := other.Restore(bigger, fresh(), blob.Bytes()); err == nil {
 		t.Error("Restore accepted a checkpoint from a different machine geometry")
 	}
 
 	reseeded := config.TableI()
 	reseeded.Seed = 12345
 	same := New(cfg, fresh())
-	if err := same.Restore(reseeded, fresh(), bytes.NewReader(blob.Bytes())); err == nil {
+	if err := same.Restore(reseeded, fresh(), blob.Bytes()); err == nil {
 		t.Error("Restore accepted a checkpoint taken under a different seed")
 	}
 
@@ -115,5 +115,49 @@ func TestCheckpointRefusals(t *testing.T) {
 	// Truncation must error, not restore a prefix.
 	if _, err := NewFromCheckpoint(cfg, fresh(), bytes.NewReader(blob.Bytes()[:blob.Len()-9])); err == nil {
 		t.Error("NewFromCheckpoint accepted a truncated checkpoint")
+	}
+}
+
+// TestRestoreVerifiesBeforeMutating pins DESIGN §7's ordering: a damaged blob
+// is refused before any table is touched, so a warm core that was handed one
+// keeps exactly its own state — its Stats and a fresh checkpoint of it are
+// byte-identical before and after the failed Restore.
+func TestRestoreVerifiesBeforeMutating(t *testing.T) {
+	cfg := config.TableI().WithRSEP(rsep.Realistic())
+	fresh := func() *workload.Gen { return workload.New(workload.MustByName("hmmer"), 7) }
+
+	donor := New(cfg, fresh())
+	donor.Run(20_000)
+	var blob bytes.Buffer
+	if err := donor.Checkpoint(&blob); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := New(cfg, fresh())
+	warm.Run(7_000)
+	snapshot := func() ([]byte, []byte) {
+		var ck bytes.Buffer
+		if err := warm.Checkpoint(&ck); err != nil {
+			t.Fatal(err)
+		}
+		return statsJSON(t, warm), ck.Bytes()
+	}
+	stats0, ck0 := snapshot()
+
+	// Flips early (the core section), mid-blob (the tables) and in the
+	// trailer itself.
+	for _, at := range []int{100, blob.Len() / 2, blob.Len() - 3} {
+		bad := append([]byte(nil), blob.Bytes()...)
+		bad[at] ^= 0x01
+		if err := warm.Restore(cfg, fresh(), bad); err == nil {
+			t.Fatalf("Restore accepted a blob flipped at byte %d", at)
+		}
+		stats1, ck1 := snapshot()
+		if !bytes.Equal(stats1, stats0) {
+			t.Fatalf("failed Restore (flip at %d) changed Stats\n got: %s\nwant: %s", at, stats1, stats0)
+		}
+		if !bytes.Equal(ck1, ck0) {
+			t.Fatalf("failed Restore (flip at %d) changed the core's checkpointed state", at)
+		}
 	}
 }

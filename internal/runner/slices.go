@@ -58,6 +58,9 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 	ss, _ := s.results.Store().(SliceStore)
 
 	var merged metrics.Stats
+	// One checkpoint buffer serves every slice of the job: PutCheckpoint
+	// copies or writes the blob before returning (SliceStore contract).
+	var ckptBuf bytes.Buffer
 	var core *pipeline.Core
 	var coreKey string
 	release := func() {
@@ -105,19 +108,23 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 		}
 
 		if core == nil {
-			core, coreKey = coreFor(cfg, freshSrc())
+			// Binding a source consumes nothing, so a restore can rewind
+			// the one the core was handed instead of generating another.
+			src := freshSrc()
+			core, coreKey = coreFor(cfg, src)
 			core.SetCancel(ctx.Done())
 			restored := false
 			if k > 0 && ss != nil {
 				ck := CheckpointKey{Bench: j.Bench, ConfigHash: cfgHash,
 					Seed: j.Seed, Warmup: j.Warmup, At: start}
 				if blob, ok := ss.GetCheckpoint(ck); ok {
-					if err := core.Restore(cfg, freshSrc(), bytes.NewReader(blob)); err == nil {
+					if err := core.Restore(cfg, src, blob); err == nil {
 						restored = true
 					} else {
 						// Damaged or mismatched blob: rebuild from scratch.
-						// ResetFor rewrites every table, so the half-restored
-						// state cannot leak.
+						// Restore verifies the blob before decoding, and
+						// ResetFor rewrites every table in any case, so no
+						// half-restored state can leak.
 						core.ResetFor(cfg, freshSrc())
 						core.SetCancel(ctx.Done())
 					}
@@ -154,10 +161,10 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 			ss.PutSlice(sk, &delta)
 			// Checkpoint every boundary, the final one included — that is
 			// what lets a later submission extend this Measure.
-			var buf bytes.Buffer
-			if err := core.Checkpoint(&buf); err == nil {
+			ckptBuf.Reset()
+			if err := core.Checkpoint(&ckptBuf); err == nil {
 				ss.PutCheckpoint(CheckpointKey{Bench: j.Bench, ConfigHash: cfgHash,
-					Seed: j.Seed, Warmup: j.Warmup, At: end}, buf.Bytes())
+					Seed: j.Seed, Warmup: j.Warmup, At: end}, ckptBuf.Bytes())
 			}
 		}
 		resolve(k, false)

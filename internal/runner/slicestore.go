@@ -39,6 +39,8 @@ type CheckpointKey struct {
 // snapshots/copies, treat damaged entries as misses (counted stale), and keep
 // Put best-effort. Checkpoint blobs are opaque to the store; integrity is the
 // store's job (a corrupt blob must become a miss, not a bad restore).
+// PutCheckpoint must not retain blob past its return — copy it or write it
+// out — because the scheduler reuses one buffer for every slice of a job.
 type SliceStore interface {
 	GetSlice(k SliceKey) (*metrics.Stats, bool)
 	PutSlice(k SliceKey, st *metrics.Stats)
